@@ -635,7 +635,7 @@ def main(argv=None) -> int:
         "--gate-scale",
         action="store_true",
         help="fail the scale benchmark on budget overruns: construction "
-        ">=10s, peak RSS >=1 GB, or events/sec more than 50% below the "
+        ">=10s, peak RSS >=1 GB, or events/sec more than 50%% below the "
         "committed BENCH_perf.json scale rate",
     )
     parser.add_argument(

@@ -69,6 +69,10 @@ class InvariantMonitor(ProtocolTrace):
         self.fault_plan = fault_plan
         self.violations: List[str] = []
         self._machine = None
+        #: Every node's coherence manager and the delayed-cache bound,
+        #: hoisted at install for the per-send bound scan.
+        self._cms: List = []
+        self._delayed_slots = 0
         #: Chains whose final ack has been sent: (class, origin, xid).
         self._closed: Set[Tuple[str, int, int]] = set()
         #: Ack/response counts per chain, for exactly-once checking.
@@ -76,7 +80,10 @@ class InvariantMonitor(ProtocolTrace):
         self._resps: Dict[Tuple[int, int], int] = {}
         #: msg_ids already counted per invariant key (fault runs only):
         #: a repeat of one of these is a wire retransmission, not a bug.
-        self._seen_ids: Dict[Tuple, Set[int]] = {}
+        #: One map per message class (acks, RMW responses, updates).
+        self._seen_ack: Dict[Tuple, Set[int]] = {}
+        self._seen_resp: Dict[Tuple, Set[int]] = {}
+        self._seen_upd: Dict[Tuple, Set[int]] = {}
         #: Crash awareness (plans with crash schedules): the machine
         #: notifies crash/restart events; nodes currently down must stay
         #: silent, every send must carry its sender's live epoch, and
@@ -89,6 +96,18 @@ class InvariantMonitor(ProtocolTrace):
         self.crash_waived = 0
 
     # ------------------------------------------------------------------
+    @property
+    def fault_plan(self) -> Optional[FaultPlan]:
+        """The fault plan the wire runs under (None: exactly-once wire)."""
+        return self._fault_plan
+
+    @fault_plan.setter
+    def fault_plan(self, plan: Optional[FaultPlan]) -> None:
+        self._fault_plan = plan
+        #: ``plan.has_crashes``, hoisted out of the per-send path.
+        self._crash_aware = plan is not None and plan.has_crashes
+
+    # ------------------------------------------------------------------
     def install(self, machine) -> "InvariantMonitor":
         """Attach to ``machine``'s fabric and CPU read path.
 
@@ -98,6 +117,8 @@ class InvariantMonitor(ProtocolTrace):
         """
         super().install(machine)
         self._machine = machine
+        self._cms = [node.cm for node in machine.nodes]
+        self._delayed_slots = machine.params.delayed_slots
         machine.invariant_monitor = self
         if self.fault_plan is None:
             self.fault_plan = machine.fabric.fault_plan
@@ -108,6 +129,7 @@ class InvariantMonitor(ProtocolTrace):
         if machine is not None and machine.invariant_monitor is self:
             machine.invariant_monitor = None
         self._machine = None
+        self._cms = []
         super().uninstall()
         return self
 
@@ -151,8 +173,7 @@ class InvariantMonitor(ProtocolTrace):
         that the reliable layer also flush-completes at the sender.
         Before the first actual crash the strict check stands unchanged.
         """
-        plan = self.fault_plan
-        if plan is not None and plan.has_crashes and self.crash_events:
+        if self._crash_aware and self.crash_events:
             self.crash_waived += 1
             return
         self._fail(rule, detail, **kw)
@@ -162,17 +183,23 @@ class InvariantMonitor(ProtocolTrace):
         cls = "w" if msg.op is None else "r"
         return (cls, origin, msg.xid)
 
-    def _is_retransmit(self, tag: str, key: Tuple, msg_id: int) -> bool:
+    def _is_retransmit(
+        self, seen_ids: Dict[Tuple, Set[int]], key: Tuple, msg_id: int
+    ) -> bool:
         """True when this send repeats an already-seen logical message.
 
         Only meaningful under a fault plan: the recovery layer resends
         the *same* Message object, so a repeated msg_id per invariant
-        key is wire-legal.  Without a plan nothing may repeat and every
-        send counts.
+        key (in the ``seen_ids`` map of the message's class) is
+        wire-legal.  Without a plan nothing may repeat and every send
+        counts.
         """
-        if self.fault_plan is None:
+        if self._fault_plan is None:
             return False
-        seen = self._seen_ids.setdefault((tag, key), set())
+        seen = seen_ids.get(key)
+        if seen is None:
+            seen_ids[key] = {msg_id}
+            return False
         if msg_id in seen:
             return True
         seen.add(msg_id)
@@ -184,8 +211,7 @@ class InvariantMonitor(ProtocolTrace):
     ) -> None:
         super().record(time, msg, arrive, fate)
         kind = msg.kind
-        plan = self.fault_plan
-        if plan is not None and plan.has_crashes:
+        if self._crash_aware:
             if msg.src in self._down_nodes:
                 self._fail(
                     "dead-node-silent",
@@ -211,49 +237,47 @@ class InvariantMonitor(ProtocolTrace):
                         node=msg.src,
                         msg=msg,
                     )
+        # A wire retransmission of an already-counted message skips the
+        # chain checks; the bound scan below runs on every send.
         if kind is MsgKind.WRITE_ACK:
             # Acks carry no origin field; their destination is the
             # originator that the tail copy is releasing.
             key = self._chain_key(msg, msg.dst)
-            if self._is_retransmit("ack", key, msg.msg_id):
-                self._check_cache_bounds(time)
-                return
-            count = self._acks.get(key, 0) + 1
-            self._acks[key] = count
-            self._closed.add(key)
-            if count > 1:
-                cls, origin, xid = key
-                label = "write" if cls == "w" else "RMW"
-                self._chain_fail(
-                    "ack-exactly-once",
-                    f"{label} chain origin={origin} xid={xid} "
-                    f"acknowledged {count} times",
-                    cycle=time,
-                    node=msg.src,
-                    msg=msg,
-                )
+            if not self._is_retransmit(self._seen_ack, key, msg.msg_id):
+                count = self._acks.get(key, 0) + 1
+                self._acks[key] = count
+                self._closed.add(key)
+                if count > 1:
+                    cls, origin, xid = key
+                    label = "write" if cls == "w" else "RMW"
+                    self._chain_fail(
+                        "ack-exactly-once",
+                        f"{label} chain origin={origin} xid={xid} "
+                        f"acknowledged {count} times",
+                        cycle=time,
+                        node=msg.src,
+                        msg=msg,
+                    )
         elif kind is MsgKind.RMW_RESP:
             key = (msg.dst, msg.xid)
-            if self._is_retransmit("resp", key, msg.msg_id):
-                self._check_cache_bounds(time)
-                return
-            count = self._resps.get(key, 0) + 1
-            self._resps[key] = count
-            if count > 1:
-                self._chain_fail(
-                    "rmw-exactly-once",
-                    f"RMW origin={msg.dst} xid={msg.xid} answered "
-                    f"{count} times",
-                    cycle=time,
-                    node=msg.src,
-                    msg=msg,
-                )
-        elif kind in (MsgKind.UPDATE, MsgKind.INVALIDATE):
+            if not self._is_retransmit(self._seen_resp, key, msg.msg_id):
+                count = self._resps.get(key, 0) + 1
+                self._resps[key] = count
+                if count > 1:
+                    self._chain_fail(
+                        "rmw-exactly-once",
+                        f"RMW origin={msg.dst} xid={msg.xid} answered "
+                        f"{count} times",
+                        cycle=time,
+                        node=msg.src,
+                        msg=msg,
+                    )
+        elif kind is MsgKind.UPDATE or kind is MsgKind.INVALIDATE:
             key = self._chain_key(msg, msg.origin)
-            if self._is_retransmit("upd", key, msg.msg_id):
-                self._check_cache_bounds(time)
-                return
-            if key in self._closed:
+            if (
+                not self._is_retransmit(self._seen_upd, key, msg.msg_id)
+                and key in self._closed
+            ):
                 cls, origin, xid = key
                 label = "write" if cls == "w" else "RMW"
                 self._chain_fail(
@@ -267,30 +291,44 @@ class InvariantMonitor(ProtocolTrace):
         self._check_cache_bounds(time)
 
     def _check_cache_bounds(self, time: int) -> None:
-        machine = self._machine
-        if machine is None:
-            return
-        for node in machine.nodes:
-            cm = node.cm
-            if len(cm.pending) > cm.pending.capacity:
-                self._fail(
-                    "pending-bound",
-                    f"pending-writes cache on node {node.node_id} holds "
-                    f"{len(cm.pending)} entries "
-                    f"(capacity {cm.pending.capacity})",
-                    cycle=time,
-                    node=node.node_id,
-                )
-            slots = machine.params.delayed_slots
-            if cm.delayed.in_flight > slots:
-                self._fail(
-                    "delayed-bound",
-                    f"delayed-operations cache on node {node.node_id} "
-                    f"holds {cm.delayed.in_flight} operations "
-                    f"(capacity {slots})",
-                    cycle=time,
-                    node=node.node_id,
-                )
+        """Scan every node's pending-writes and delayed-operations cache.
+
+        Occupancy is read straight from each cache's storage, and each
+        cache is looked up through its coherence manager on every call:
+        a crash replaces both caches with fresh objects.
+        """
+        slots = self._delayed_slots
+        for cm in self._cms:
+            pending = cm.pending
+            delayed = cm.delayed
+            if (
+                len(pending._addr_of) > pending.capacity
+                or len(delayed._slots) - len(delayed._free) > slots
+            ):
+                self._report_bounds(cm, time)
+
+    def _report_bounds(self, cm, time: int) -> None:
+        """Fail each cache bound ``cm`` exceeds (off the per-send path)."""
+        pending = cm.pending
+        if len(pending) > pending.capacity:
+            self._fail(
+                "pending-bound",
+                f"pending-writes cache on node {cm.node_id} holds "
+                f"{len(pending)} entries "
+                f"(capacity {pending.capacity})",
+                cycle=time,
+                node=cm.node_id,
+            )
+        slots = self._delayed_slots
+        if cm.delayed.in_flight > slots:
+            self._fail(
+                "delayed-bound",
+                f"delayed-operations cache on node {cm.node_id} "
+                f"holds {cm.delayed.in_flight} operations "
+                f"(capacity {slots})",
+                cycle=time,
+                node=cm.node_id,
+            )
 
     # ------------------------------------------------------------------
     def on_read_proceed(self, node_id: int, paddr) -> None:

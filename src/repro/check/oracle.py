@@ -49,7 +49,7 @@ stays exactly-once, in order.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import CoherenceViolation
@@ -185,7 +185,7 @@ class CoherenceOracle:
             if when is None:
                 continue  # the wire ate every copy; nothing was applied
             seen.add(e.msg_id)
-            entries.append(e if e.arrive == when else replace(e, arrive=when))
+            entries.append(e if e.arrive == when else e._replace(arrive=when))
         return entries
 
     # ------------------------------------------------------------------

@@ -88,15 +88,14 @@ class JitteredLinkModel(LinkModel):
         return arrive
 
     def traverse_states(self, states, depart, size_bytes, not_before=0):
-        # The faulty-send path resolves an explicit link path and lands
-        # here (via ``traverse``).
+        # Explicit-path timing (``traverse``), which tests drive directly.
         return self._jitter(
             super().traverse_states(states, depart, size_bytes, not_before)
         )
 
     def traverse_steps(self, src, steps, depart, size_bytes, not_before=0):
-        # The lossless fast path walks a step plan without touching
-        # ``traverse_states``; cover it separately.
+        # Every fabric send, lossless or faulty, walks a step plan
+        # without touching ``traverse_states``; cover it separately.
         return self._jitter(
             super().traverse_steps(src, steps, depart, size_bytes, not_before)
         )

@@ -20,16 +20,19 @@ recovery layer in every coherence manager), it is consulted once per
 send and may drop, duplicate, or delay-and-reorder the message, or take
 whole links down transiently.  With no plan installed the send path is
 exactly the lossless fast path — zero extra messages, zero timing
-change, one ``is None`` test.
+change, one ``is None`` test.  With a plan the send walks its route the
+same arithmetic way (no link list either): outage schedules are looked
+up by dense link id and the timing goes through
+``LinkModel.traverse_steps`` (see :meth:`Fabric._judge_faulty`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.params import TimingParams
 from repro.errors import ConfigError
-from repro.network.faults import FaultPlan
+from repro.network.faults import FaultPlan, _LinkOutages
 from repro.network.message import Message, MsgKind, N_KINDS
 from repro.network.router import LinkModel
 from repro.network.topology import Topology
@@ -41,11 +44,12 @@ Receiver = Callable[[Message], None]
 class FabricStats:
     """Machine-wide network traffic counters.
 
-    :meth:`record` is the single implementation of per-send accounting;
-    ``Fabric.send`` routes every path (lossless, faulty, retransmitted)
-    through it so the counters cannot drift from the send logic.  Sends
-    the fault plan swallows still count as wire traffic (the sender paid
-    for them); the fault counters then say what the wire did on top:
+    :meth:`record` is the reference per-send accounting.  Both fabric
+    send paths (lossless and faulty; a retransmission is just another
+    send) inline it, and tests recompute the counters through
+    :meth:`record` to keep them from drifting.  Sends the fault plan
+    swallows still count as wire traffic (the sender paid for them); the
+    fault counters then say what the wire did on top:
 
     * ``drops`` — messages lost (random drops, outages, blackholes).
     * ``dups`` — extra deliveries the wire created.
@@ -164,6 +168,9 @@ class Fabric:
         #: Installed :class:`~repro.network.faults.FaultPlan`, or None
         #: for the paper's lossless mesh.
         self.fault_plan: Optional[FaultPlan] = None
+        #: The plan's link-outage schedules by dense link id, resolved on
+        #: first use (see :meth:`_route_down`).
+        self._outages: List[Optional[_LinkOutages]] = []
         #: Next message id; ids are stamped at first injection so they
         #: are a property of this fabric's traffic alone (a process that
         #: runs many simulations — a sweep worker — reproduces the same
@@ -244,6 +251,7 @@ class Fabric:
                 "cannot install a fault plan after traffic has flowed"
             )
         self.fault_plan = plan
+        self._outages = [None] * self.mesh.n_link_ids
         self._refresh_pooling()
         return plan
 
@@ -336,36 +344,14 @@ class Fabric:
         dst: int,
         floor_key: int,
     ) -> int:
-        """The fault-plan send path: consult the plan, then deliver 0, 1
-        or 2 copies.  Per-delivery jitter lands *outside* the FIFO floor,
-        so same-pair messages can reorder within the jitter bound — the
-        sequence numbers of the reliable sublayer put them back in order.
-
-        The explicit link list is materialized per send (the plan's
-        outage schedules are keyed by link tuple); this path is off
-        whenever the mesh is lossless, so it never taxes the fast path.
-        """
-        now = self.engine._now
-        stats = self.stats
-        path = self.mesh.route(src, dst)
-        stats.record(msg, len(path))
-        fate, delays = self.fault_plan.judge(msg, now, path)
-        if not delays:
-            stats.drops += 1
-            if self._trace is not None:
-                self._trace.record(now, msg, -1, fate=fate)
+        """The fault-plan send path: judge and time the send (see
+        :meth:`_judge_faulty`), then schedule 0, 1 or 2 deliveries."""
+        arrive, delays = self._judge_faulty(msg, src, dst, floor_key)
+        if arrive < 0:
             return -1
-        floors = self._floors
-        arrive = self.links.traverse(
-            path, now, msg.size_bytes, not_before=floors.get(floor_key, 0)
-        )
-        floors[floor_key] = arrive + 1
-        primary = arrive + delays[0]
-        if len(delays) > 1:
-            stats.dups += 1
-        if self._trace is not None:
-            self._trace.record(now, msg, primary, fate=fate)
-        engine_at = self.engine.at
+        engine = self.engine
+        now = engine._now
+        near = engine._tie_rng is None
         pool = self._delivery_pool
         for delay in delays:
             if pool:
@@ -374,8 +360,131 @@ class Fabric:
                 delivery.msg = msg
             else:
                 delivery = _Delivery(receiver, msg, pool)
-            engine_at(arrive + delay, delivery)
-        return primary
+            when = arrive + delay
+            # Inlined near-lane fast path of ``Engine.at``, as in send().
+            if near and when - now < 512:  # Engine.BUCKETS
+                engine._buckets[when & 511].append(delivery)
+                engine._near += 1
+            else:
+                engine.at(when, delivery)
+        return arrive + delays[0]
+
+    def _judge_faulty(
+        self, msg: Message, src: int, dst: int, floor_key: int
+    ) -> Tuple[int, Tuple[int, ...]]:
+        """Account, judge, time and trace one send under the fault plan.
+
+        Returns ``(arrive, delays)``: the wire arrival before fault
+        jitter and the plan's extra delay per delivered copy, or
+        ``(-1, ())`` when the wire lost the message.  Shared by the
+        scheduling path above and the space-parallel staging path.
+
+        The route is walked like the lossless path's: the outage check
+        steps over dense link ids (:meth:`_route_down`) and the timing
+        goes through ``LinkModel.traverse_steps`` — no link list is
+        built.  Per-delivery jitter lands *outside* the FIFO floor, so
+        same-pair messages can reorder within the jitter bound — the
+        sequence numbers of the reliable sublayer put them back in order.
+        A lost message occupies no link.
+        """
+        now = self.engine._now
+        plan = self.fault_plan
+        # ``Message.size_bytes`` and ``FabricStats.record`` inlined, as in
+        # send(): a lost send still counts as traffic the sender paid for.
+        kind = msg.kind
+        size = kind.base_bytes
+        if kind is MsgKind.PAGE_COPY_DATA:
+            size += 4 * len(msg.words)
+        elif kind is MsgKind.UPDATE:
+            n = len(msg.writes)
+            if n > 1:
+                size += 8 * (n - 1)
+        elif kind is MsgKind.INVALIDATE:
+            n = len(msg.writes)
+            if n > 1:
+                size += 4 * (n - 1)
+        steps = self.mesh.route_steps(src, dst)
+        stats = self.stats
+        stats._kind_counts[kind.idx] += 1
+        stats.total_messages += 1
+        stats.total_hops += steps[0] + steps[2]
+        stats.total_bytes += size
+        if dst in plan.blackholes or (
+            plan.outage_rate and self._route_down(src, steps, now)
+        ):
+            fate, delays = "outage", ()
+        else:
+            fate, delays = plan.roll()
+        if not delays:
+            stats.drops += 1
+            if self._trace is not None:
+                self._trace.record(now, msg, -1, fate)
+            return -1, delays
+        floors = self._floors
+        arrive = self.links.traverse_steps(
+            src, steps, now, size, not_before=floors.get(floor_key, 0)
+        )
+        floors[floor_key] = arrive + 1
+        if len(delays) > 1:
+            stats.dups += 1
+        if self._trace is not None:
+            self._trace.record(now, msg, arrive + delays[0], fate)
+        return arrive, delays
+
+    def _route_down(
+        self, src: int, steps: Tuple[int, int, int, int], now: int
+    ) -> bool:
+        """True when a link of the route from ``src`` along ``steps`` is
+        down at ``now``.
+
+        Same walk as ``LinkModel.traverse_steps`` (stopping at the first
+        down link, as ``FaultPlan.judge`` does); each dense link id
+        resolves once to the plan's own schedule object for that link,
+        so this and an explicit-path ``judge`` share outage state."""
+        scheds = self._outages
+        mesh = self.mesh
+        width = mesh.width
+        nx, sx, ny, sy = steps
+        pos = src
+        if nx:
+            x = src % width
+            rowbase = pos - x
+            direction = 0 if sx > 0 else mesh._xneg
+            for _ in range(nx):
+                lid = pos * 4 + direction
+                sched = scheds[lid] or self._outage_schedule(lid)
+                if sched.down(now):
+                    return True
+                x += sx
+                if x == width:
+                    x = 0
+                elif x < 0:
+                    x = width - 1
+                pos = rowbase + x
+        if ny:
+            height = mesh.height
+            y = pos // width
+            colbase = pos - y * width
+            direction = 2 if sy > 0 else mesh._yneg
+            for _ in range(ny):
+                lid = pos * 4 + direction
+                sched = scheds[lid] or self._outage_schedule(lid)
+                if sched.down(now):
+                    return True
+                y += sy
+                if y == height:
+                    y = 0
+                elif y < 0:
+                    y = height - 1
+                pos = colbase + y * width
+        return False
+
+    def _outage_schedule(self, lid: int) -> _LinkOutages:
+        """Resolve dense link id ``lid`` to the plan's outage schedule."""
+        sched = self._outages[lid] = self.fault_plan.link_outages(
+            self.mesh.link_of(lid)
+        )
+        return sched
 
     # ------------------------------------------------------------------
     def inject(self, arrive: int, msg: Message, key: tuple) -> None:

@@ -246,9 +246,20 @@ class FaultPlan:
         normal (possibly jittered) delivery; two entries mean the wire
         duplicated it.  Delays are *added to* the fabric's computed
         arrival time, outside the FIFO floor.
+
+        The fabric does not call this: it walks the route by dense link
+        id instead of materializing ``path``, checks the same outage
+        schedules and blackholes, then calls :meth:`roll` — so the two
+        forms give the same fate stream.
         """
         if msg.dst in self.blackholes or self._route_down(path, now):
             return "outage", ()
+        return self.roll()
+
+    def roll(self) -> Tuple[Fate, Tuple[int, ...]]:
+        """The per-send random decisions of a send its route let through:
+        drop, reorder jitter and duplication, in that order, from the
+        plan's shared per-send stream (see :meth:`judge`)."""
         roll = self._roll
         if self.drop_prob and roll.random() < self.drop_prob:
             return "drop", ()

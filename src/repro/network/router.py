@@ -14,10 +14,12 @@ always binds one), states sit in a dense array indexed by the topology's
 integer link ids, and :meth:`LinkModel.traverse_steps` times a message by
 *walking* the dimension-order route arithmetically — no materialized link
 list, no per-link hashing, O(1) memory per directed link ever used.
-Unbound (tests that hand-build paths), states fall back to a dict keyed
-by ``(from, to)`` tuples.  Both stores resolve a given physical link to
-the same :class:`LinkState`, so explicit-path and walked traversals of
-the same fabric always share occupancy state.
+Every fabric send takes this walk, lossless or faulty.  Unbound (tests
+that hand-build paths), states fall back to a dict keyed by
+``(from, to)`` tuples.  Both stores resolve a given physical link to
+the same :class:`LinkState`, so explicit-path (:meth:`LinkModel.traverse`,
+kept for tests and diagnostics) and walked traversals of the same
+fabric always share occupancy state.
 
 Fault injection layers *above* this model: a
 :class:`~repro.network.faults.FaultPlan` decides whether a send is
@@ -156,7 +158,8 @@ class LinkModel:
     ) -> int:
         """Arrival time of a message leaving ``src`` at ``depart`` along
         the dimension-order step plan ``steps`` (see
-        ``Topology.route_steps``) — the fabric's per-send path.
+        ``Topology.route_steps``) — the fabric's per-send path, with or
+        without a fault plan.
 
         The route is walked incrementally: per hop, the next position and
         dense link id are O(1) coordinate arithmetic, so no link list is

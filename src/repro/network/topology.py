@@ -10,9 +10,10 @@ Routing here is *cache-free*: next hops are pure arithmetic on router
 coordinates, O(1) per hop with no materialized per-pair link lists (the
 old ``_route_cache`` was O(n_pairs * path_len) memory — a 32x32 machine
 could spend more RAM on routes than on pages).  The fabric walks a route
-incrementally (see ``LinkModel.traverse_steps``); :meth:`Topology.route`
-builds an explicit link list only for callers that need one (tests,
-fault-plan outage checks, diagnostics).
+incrementally (see ``LinkModel.traverse_steps``), with or without a
+fault plan; :meth:`Topology.route` builds an explicit link list only for
+callers that need one (tests, the explicit-path ``FaultPlan.judge``,
+diagnostics).
 
 Two concrete topologies share the geometry:
 
@@ -27,8 +28,8 @@ Two concrete topologies share the geometry:
   the mesh.
 
 Directed links are identified two ways: as ``(from, to)`` router-position
-tuples (the stable external form — fault plans key outage schedules by
-it) and as a dense integer ``link_id = position * 4 + direction`` used
+tuples (the stable external form — fault plans key and seed outage
+schedules by it) and as a dense integer ``link_id = position * 4 + direction`` used
 for O(1) array-indexed link state (directions: 0=+x, 1=-x, 2=+y, 3=-y).
 On a 2-wide wrapped dimension +1 and -1 land on the same neighbour; those
 links canonically use the positive direction so tuple and arithmetic
@@ -138,8 +139,8 @@ class Topology:
         """Dimension-order (X then Y) path as a list of directed links.
 
         Built on demand from :meth:`route_steps` (no route cache); used
-        by tests, the fault plan's per-link outage checks, and anything
-        else that wants the explicit walk."""
+        by tests, the explicit-path ``FaultPlan.judge``, and anything
+        else that wants the explicit walk (the fabric never does)."""
         self._check(src)
         self._check(dst)
         nx, sx, ny, sy = self.route_steps(src, dst)

@@ -231,29 +231,12 @@ class SpaceFabric(Fabric):
     ) -> int:
         """Mirror of ``Fabric._send_faulty`` that stages each delivery
         copy instead of scheduling it."""
-        now = self.engine._now
-        stats = self.stats
-        path = self.mesh.route(src, dst)
-        stats.record(msg, len(path))
-        fate, delays = self.fault_plan.judge(msg, now, path)
-        if not delays:
-            stats.drops += 1
-            if self._trace is not None:
-                self._trace.record(now, msg, -1, fate=fate)
+        arrive, delays = self._judge_faulty(msg, src, dst, floor_key)
+        if arrive < 0:
             return -1
-        floors = self._floors
-        arrive = self.links.traverse(
-            path, now, msg.size_bytes, not_before=floors.get(floor_key, 0)
-        )
-        floors[floor_key] = arrive + 1
-        primary = arrive + delays[0]
-        if len(delays) > 1:
-            stats.dups += 1
-        if self._trace is not None:
-            self._trace.record(now, msg, primary, fate=fate)
         for delay in delays:
             self._stage(dst, arrive + delay, msg)
-        return primary
+        return arrive + delays[0]
 
     def _stage(self, dst: int, arrive: int, msg: Message) -> None:
         seq = self._stage_seq

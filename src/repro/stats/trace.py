@@ -23,16 +23,29 @@ coherence oracle checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.core.params import OpCode
 from repro.network.message import Message, MsgKind
 
 
-@dataclass(frozen=True, slots=True)
-class TraceEntry:
-    """One recorded message send."""
+class TraceEntry(NamedTuple):
+    """One recorded message send.
+
+    A named tuple rather than a frozen dataclass, which sets every
+    field through ``object.__setattr__``: a checked stress run
+    materializes one entry per send, positionally (see
+    :meth:`ProtocolTrace._materialize`).  Derive a changed copy with
+    ``entry._replace(field=...)``.
+    """
 
     time: int
     kind: MsgKind
@@ -168,24 +181,30 @@ class ProtocolTrace:
         append = self._entries.append
         for time, msg, arrive, fate in raw:
             addr = msg.addr
+            if addr:
+                page = addr.page
+                offset = addr.offset
+            else:
+                page = offset = None
+            # Positional, in TraceEntry field order.
             append(
                 TraceEntry(
-                    time=time,
-                    kind=msg.kind,
-                    src=msg.src,
-                    dst=msg.dst,
-                    page=addr.page if addr else None,
-                    offset=addr.offset if addr else None,
-                    origin=msg.origin,
-                    xid=msg.xid,
-                    value=msg.value,
-                    arrive=arrive,
-                    op=msg.op,
-                    writes=tuple(msg.writes),
-                    chain_done=msg.chain_done,
-                    seq=msg.seq,
-                    msg_id=msg.msg_id,
-                    fate=fate,
+                    time,
+                    msg.kind,
+                    msg.src,
+                    msg.dst,
+                    page,
+                    offset,
+                    msg.origin,
+                    msg.xid,
+                    msg.value,
+                    arrive,
+                    msg.op,
+                    tuple(msg.writes),
+                    msg.chain_done,
+                    msg.seq,
+                    msg.msg_id,
+                    fate,
                 )
             )
 

@@ -5,10 +5,12 @@ import random
 import pytest
 
 from repro.check import InvariantMonitor
-from repro.core.params import TimingParams
-from repro.errors import CoherenceViolation
+from repro.core.delayed import _Slot
+from repro.core.params import OpCode, TimingParams
+from repro.errors import CoherenceViolation, ProtocolError
 from repro.machine import PlusMachine
 from repro.memory.address import PhysAddr
+from repro.network.faults import FaultPlan
 from repro.network.message import Message, MsgKind
 
 
@@ -112,6 +114,58 @@ def test_pending_cache_bound_is_enforced(machine4):
     cm.pending._addr_of[999] = PhysAddr(1, 0, 63)
     monitor.record(2, _msg(MsgKind.WRITE_REQ))
     assert any("pending-bound" in v for v in monitor.violations)
+    monitor.uninstall()
+
+
+def _plant_delayed_overflow(cm):
+    """Push a full delayed-operations cache one operation past its own
+    guard (which refuses a ninth allocation)."""
+    delayed = cm.delayed
+    while delayed.has_free_slot:
+        delayed.allocate(OpCode.FETCH_ADD)
+    with pytest.raises(ProtocolError):
+        delayed.allocate(OpCode.FETCH_ADD)
+    delayed._slots.append(_Slot(len(delayed._slots)))
+
+
+def test_delayed_cache_bound_is_enforced(machine4):
+    monitor = InvariantMonitor(strict=False).install(machine4)
+    cm = machine4.nodes[0].cm
+    for _ in range(machine4.params.delayed_slots):
+        cm.delayed.allocate(OpCode.FETCH_ADD)
+    monitor.record(1, _msg(MsgKind.WRITE_REQ))
+    assert not monitor.violations
+    _plant_delayed_overflow(cm)
+    monitor.record(2, _msg(MsgKind.WRITE_REQ))
+    assert any("delayed-bound" in v for v in monitor.violations)
+    monitor.uninstall()
+
+
+def test_cache_bounds_are_enforced_on_caches_replaced_by_a_restart():
+    # A crash replaces the node's pending-writes and delayed-operations
+    # caches with fresh objects; the bound scan must watch the new ones.
+    machine = PlusMachine(n_nodes=4)
+    monitor = InvariantMonitor(strict=False).install(machine)
+    machine.install_faults(FaultPlan(1, crashes=((3, 10**9, 1),)))
+    cm = machine.nodes[3].cm
+    old_pending, old_delayed = cm.pending, cm.delayed
+    machine.crash_node(3)
+    machine.restart_node(3)
+    assert cm.pending is not old_pending
+    assert cm.delayed is not old_delayed
+    monitor.record(1, _msg(MsgKind.WRITE_REQ))
+    assert not monitor.violations
+    for i in range(cm.pending.capacity):
+        cm.pending.add(PhysAddr(3, 0, i))
+    cm.pending._addr_of[999] = PhysAddr(3, 0, 63)
+    _plant_delayed_overflow(cm)
+    monitor.record(2, _msg(MsgKind.WRITE_REQ))
+    assert any(
+        "pending-bound" in v and "node 3" in v for v in monitor.violations
+    )
+    assert any(
+        "delayed-bound" in v and "node 3" in v for v in monitor.violations
+    )
     monitor.uninstall()
 
 
