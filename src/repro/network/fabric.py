@@ -144,9 +144,6 @@ class Fabric:
         engine: Engine,
         mesh: Topology,
         params: TimingParams,
-        *,
-        msg_id_base: int = 0,
-        msg_id_step: int = 1,
     ) -> None:
         self.engine = engine
         self.mesh = mesh
@@ -175,18 +172,7 @@ class Fabric:
         #: are a property of this fabric's traffic alone (a process that
         #: runs many simulations — a sweep worker — reproduces the same
         #: ids for the same run regardless of what ran before it).
-        #: ``msg_id_base``/``msg_id_step`` let several fabrics coexist in
-        #: one process with provably disjoint id streams (the
-        #: space-parallel driver gives region ``r`` of ``R`` the residue
-        #: class ``r mod R``); the default 0/1 is the classic single-
-        #: fabric dense numbering.
-        if msg_id_step < 1 or not 0 <= msg_id_base < msg_id_step:
-            raise ConfigError(
-                f"msg_id_base/msg_id_step must satisfy 0 <= base < step "
-                f"(got {msg_id_base}/{msg_id_step})"
-            )
-        self._next_msg_id = msg_id_base
-        self._msg_id_step = msg_id_step
+        self._next_msg_id = 0
         #: Free lists for recycled delivery events and Message objects.
         #: Message pooling trades allocation for reuse, which is only
         #: legal while nothing cares about object identity: a trace
@@ -277,7 +263,7 @@ class Fabric:
             # First injection stamps the fabric-local identity; a
             # retransmission re-sends the same object and keeps its id.
             msg.msg_id = self._next_msg_id
-            self._next_msg_id += self._msg_id_step
+            self._next_msg_id += 1
 
         if self.fault_plan is not None:
             return self._send_faulty(msg, receiver, src, dst, floor_key)
@@ -376,8 +362,7 @@ class Fabric:
 
         Returns ``(arrive, delays)``: the wire arrival before fault
         jitter and the plan's extra delay per delivered copy, or
-        ``(-1, ())`` when the wire lost the message.  Shared by the
-        scheduling path above and the space-parallel staging path.
+        ``(-1, ())`` when the wire lost the message.
 
         The route is walked like the lossless path's: the outage check
         steps over dense link ids (:meth:`_route_down`) and the timing
@@ -485,37 +470,6 @@ class Fabric:
             self.mesh.link_of(lid)
         )
         return sched
-
-    # ------------------------------------------------------------------
-    def inject(self, arrive: int, msg: Message, key: tuple) -> None:
-        """File an externally-timed message into the engine's front lane.
-
-        The space-parallel driver uses this to deliver cross-region
-        messages at window barriers: the *source* region's fabric
-        already routed, timed, traced and counted the send — this side
-        only files the delivery event.  ``key`` is the canonical
-        ``(source region, staging seq)`` rank; the front lane fires
-        injected deliveries before every locally-scheduled event of
-        their cycle, in key order, which keeps same-cycle ordering — and
-        therefore the whole run — independent of which barrier happened
-        to carry the message (see ``Engine.inject``).  ``arrive`` must
-        not be in the past (guaranteed by the conservative window
-        bound; the engine enforces it)."""
-        receiver = (
-            self._receivers[msg.dst]
-            if 0 <= msg.dst < len(self._receivers)
-            else None
-        )
-        if receiver is None:
-            raise ConfigError(f"no receiver attached for node {msg.dst}")
-        pool = self._delivery_pool
-        if pool:
-            delivery = pool.pop()
-            delivery.receiver = receiver
-            delivery.msg = msg
-        else:
-            delivery = _Delivery(receiver, msg, pool)
-        self.engine.inject(arrive, key, delivery)
 
     # ------------------------------------------------------------------
     def note_applied(self, msg: Message) -> None:

@@ -17,10 +17,6 @@ is byte-identical to the serial run:
   CPU count.
 * :mod:`repro.parallel.grid` — module-level grid-point targets for
   ``python -m repro sweep`` and the figure fan-outs.
-* :mod:`repro.parallel.spacetime` — space-parallel simulation of ONE
-  machine: the mesh is partitioned into per-worker regions that advance
-  in conservative lookahead windows and exchange boundary messages at
-  window barriers, bit-identical to the serial space driver.
 """
 
 from repro.parallel.executor import (
@@ -32,20 +28,6 @@ from repro.parallel.executor import (
     run_sweep,
 )
 from repro.parallel.grid import expand_grid
-from repro.parallel.spacetime import (
-    RegionState,
-    SpaceFabric,
-    SpaceMachine,
-    SpaceRun,
-    SpaceSpec,
-    default_window,
-    effective_regions,
-    lookahead_bound,
-    memory_checksum,
-    run_checksums,
-    run_space,
-    trace_checksum,
-)
 from repro.parallel.tasks import (
     SweepTask,
     TaskResult,
@@ -57,26 +39,14 @@ from repro.parallel.tasks import (
 __all__ = [
     "PoolFuture",
     "ProgressLine",
-    "RegionState",
-    "SpaceFabric",
-    "SpaceMachine",
-    "SpaceRun",
-    "SpaceSpec",
     "SweepTask",
     "TaskResult",
     "WorkerPool",
     "default_context",
-    "default_window",
     "effective_jobs",
-    "effective_regions",
     "execute",
     "expand_grid",
-    "lookahead_bound",
-    "memory_checksum",
     "parse_shard",
-    "run_checksums",
-    "run_space",
     "run_sweep",
     "shard_tasks",
-    "trace_checksum",
 ]

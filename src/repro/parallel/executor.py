@@ -156,9 +156,8 @@ def _worker_main(wid, task_q, conn, current) -> None:
     Determinism test hook: ``REPRO_TEST_WORKER_DELAY_MS`` (e.g.
     ``"0:150,2:40"``) makes worker ``wid`` sleep that many milliseconds
     before sending each result.  It exists so tests can force arbitrary
-    completion orders and assert the ordered-flush aggregation (and the
-    space-parallel barrier driver) stay byte-identical; it delays
-    results, never reorders or alters them.
+    completion orders and assert the ordered-flush aggregation stays
+    byte-identical; it delays results, never reorders or alters them.
     """
     delay_s = 0.0
     spec = os.environ.get("REPRO_TEST_WORKER_DELAY_MS")

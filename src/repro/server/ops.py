@@ -49,66 +49,6 @@ def check_point(
     }
 
 
-def space_point(
-    seed: int,
-    faults: bool,
-    regions: int,
-    window: int,
-    transport: str,
-    adaptive: bool,
-    jobs: int = 1,
-    fleet=None,
-) -> Dict[str, Any]:
-    """One stress seed on the space-partitioned machine, summarized.
-
-    Dispatched to a pool worker (the default) this runs the in-process
-    serial space driver — pool workers are daemonic and cannot spawn
-    region processes.  A daemon started with ``--space-jobs`` instead
-    calls it inline with its warm :class:`~repro.parallel.spacetime.SpaceFleet`
-    (``jobs >= 2``), reusing the same region worker processes across
-    requests.  Both paths produce byte-identical payloads: every field
-    below is deterministic for a given (seed, faults, regions, window,
-    transport, adaptive) key, which is what makes the op cacheable.
-    """
-    from repro.parallel.spacetime import SpaceSpec, run_checksums, run_space
-
-    spec = SpaceSpec.make(
-        "repro.check.stress:build_space_stress",
-        {
-            "seed": seed,
-            "inject_bug": False,
-            "faults": faults,
-            "chaos": False,
-            "fault_overrides": None,
-            "regions": regions,
-            "window": window,
-        },
-        label=f"serve space seed {seed}",
-    )
-    run = run_space(
-        spec, jobs=jobs, transport=transport, adaptive=adaptive, fleet=fleet
-    )
-    tr = run.transport
-    return {
-        "seed": seed,
-        "ok": run.error is None,
-        "error": (
-            None
-            if run.error is None
-            else f"{type(run.error).__name__}: {run.error}"
-        ),
-        "cycles": run.clock,
-        "regions": regions,
-        "transport": tr["mode"],
-        "adaptive": tr["adaptive"],
-        "barriers": tr["barriers"],
-        "messages": tr["messages"],
-        "transport_bytes": tr["bytes"],
-        "pickle_bypassed": tr["pickle_bypassed"],
-        "checksums": run_checksums(run),
-    }
-
-
 def bench_point(
     workload: str, repeats: int, vertices: int
 ) -> Dict[str, Any]:

@@ -116,9 +116,9 @@ def _drive(engine, script, run=None):
 
 
 def _windowed(window):
-    """Driver that advances in bounded windows, the way the
-    space-parallel driver does: ``run(until=barrier - 1)`` per window
-    until the queue drains."""
+    """Driver that advances in bounded windows, ``run(until=barrier - 1)``
+    per window until the queue drains: the bounded ``run(until=)`` that
+    ``PlusMachine.run(max_cycles=...)`` uses, repeated."""
 
     def run(engine):
         barrier = 0
@@ -171,9 +171,8 @@ def test_engine_accounting_survives_random_schedules(script):
     assert 0 == engine._cancelled_timers
 
 
-# Windows straddling every interesting boundary: single-cycle, the
-# space driver's default (4) and lookahead bound (12), and the calendar
-# window (512) with its neighbours.
+# Windows straddling every interesting boundary: single-cycle, a few
+# small windows, and the calendar window (512) with its neighbours.
 _windows = st.sampled_from([1, 3, 4, 12, 511, 512, 513, 5000])
 
 
@@ -206,8 +205,7 @@ def test_windowed_run_random_ties_matches_continuous_run(script, window, seed):
 def test_last_live_reports_final_event_cycle(script, window):
     # ``run(until)`` parks ``now`` at the barrier even when the window
     # tail was empty; ``last_live`` must still name the cycle that did
-    # the final real work — it is what the space driver reports as the
-    # machine's clock.
+    # the final real work.
     engine = Engine()
     fired = _drive(engine, script, run=_windowed(window))
     assert engine.last_live == max(t for t, _ in fired)

@@ -44,7 +44,7 @@ def _help_exit(*argv):
 
 
 def test_every_repro_subcommand_is_covered():
-    assert {"check", "run", "profile", "serve"} <= set(_subcommands())
+    assert {"check", "profile", "serve"} <= set(_subcommands())
 
 
 @pytest.mark.parametrize(

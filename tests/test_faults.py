@@ -432,3 +432,28 @@ def test_fault_overrides_pin_the_knobs():
         assert r.config.drop_prob == 0.015
         assert r.config.outage_rate == 0.0
         assert r.ok, r.describe()
+
+
+def test_faulty_seed_13_survives_the_stale_refetch_race(monkeypatch):
+    # Pin the seed whose fault stream found the stale-refetch race:
+    # a refetch response was outaged twice, and its retransmitted
+    # payload — snapshotted before a later write — arrived after that
+    # write's invalidate.  Before the per-word generation guard in
+    # ``CoherenceManager.cpu_refetch`` this seed failed the coherence
+    # oracle (word revalidated with resurrected data); the guard must
+    # both keep the oracle green and actually fire on this seed.
+    from repro.check import stress
+
+    built = []
+    build = stress.build_machine
+
+    def keep(config):
+        parts = build(config)
+        built.append(parts[0])
+        return parts
+
+    monkeypatch.setattr(stress, "build_machine", keep)
+    result = stress.run_stress(13, faults=True)
+    assert result.ok, result.describe()
+    (machine,) = built
+    assert sum(n.counters.stale_refetches for n in machine.nodes) > 0

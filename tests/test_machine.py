@@ -216,3 +216,24 @@ class TestRequestValidation:
         machine1.spawn(0, bad)
         with pytest.raises(ThreadError):
             machine1.run()
+
+
+def test_two_machines_in_one_process_have_independent_id_streams():
+    # Regression for the global-counter hazard: running one simulation
+    # must not perturb the ids (hence traces) of another built later in
+    # the same process.
+    def run_one():
+        machine = PlusMachine(n_nodes=4)
+        seg = machine.shm.alloc(1, home=1)
+
+        def writer(ctx):
+            yield from ctx.write(seg.base, 7)
+            yield from ctx.read(seg.base)
+
+        machine.spawn(0, writer)
+        machine.run()
+        return machine.fabric.stats.total_messages, machine.engine.now
+
+    first = run_one()
+    second = run_one()
+    assert first == second
