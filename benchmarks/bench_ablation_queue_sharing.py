@@ -64,19 +64,14 @@ def drifting_beam_workload():
     """A narrow drifting beam: the surviving states cluster in a hot
     index band that wanders between layers, so per-node queues strand
     work — the data-dependent imbalance of Section 3.4."""
-    from repro.apps.graphs import (
-        beam_search_reference,
-        initial_costs,
-        layered_lattice,
-    )
+    from repro.apps.graphs import layered_lattice
+    from repro.workloads import beam_reference
 
     lattice = layered_lattice(
         n_layers=12, width=128, branching=3, seed=5, hot_fraction=0.2
     )
     beam = 30
-    initial = initial_costs(lattice, seed=1)
-    reference = beam_search_reference(lattice, beam=beam, initial=initial)
-    return lattice, beam, reference
+    return lattice, beam, beam_reference(lattice, beam)
 
 
 @pytest.mark.parametrize("sharing", ["none", "steal-4"])

@@ -15,7 +15,8 @@ efficiency = T(1) / (n * T(n)) and the useful-time utilization.
 
 import pytest
 
-from repro.apps.sssp import SSSPConfig, run_sssp
+from repro.apps.sssp import run_sssp
+from repro.workloads import fig21_config
 
 from conftest import record_table, simulate_once
 
@@ -24,20 +25,15 @@ SWEEP = (1, 2, 4, 8, 16, 32, 64)
 _measured = {}
 
 
-def _config(mode, n_nodes):
-    if mode == "none":
-        # Unreplicated pages; each processor only drains its own queue.
-        return SSSPConfig(copies=1, steal=False)
-    return SSSPConfig(copies=min(4, n_nodes), steal=True)
-
-
 @pytest.mark.parametrize("mode", ["none", "replicated"])
 @pytest.mark.parametrize("n_nodes", SWEEP)
 def test_fig_2_1_point(benchmark, sssp_workload, mode, n_nodes):
     graph, reference = sssp_workload
 
     def run():
-        return run_sssp(n_nodes, graph, _config(mode, n_nodes))
+        return run_sssp(
+            n_nodes, graph, fig21_config(mode == "replicated", n_nodes)
+        )
 
     result = simulate_once(benchmark, run)
     assert result.distances == reference

@@ -15,25 +15,12 @@ decoder.
 
 import pytest
 
-from repro.apps.beam import BeamConfig, run_beam
+from repro.apps.beam import run_beam
+from repro.workloads import BEAM_MODES, beam_config
 
 from conftest import record_table, simulate_once
 
 SWEEP = (2, 4, 8, 16)
-
-MODES = {
-    "blocking": dict(sync_mode="blocking"),
-    "delayed": dict(sync_mode="delayed"),
-    "ctx16": dict(
-        sync_mode="context", threads_per_node=2, context_switch_cycles=16
-    ),
-    "ctx40": dict(
-        sync_mode="context", threads_per_node=2, context_switch_cycles=40
-    ),
-    "ctx140": dict(
-        sync_mode="context", threads_per_node=2, context_switch_cycles=140
-    ),
-}
 
 _measured = {}
 _base = {}
@@ -56,7 +43,7 @@ def test_fig_3_1_baseline(benchmark, beam_workload):
     lattice, beam, reference = beam_workload
 
     def run():
-        return run_beam(1, lattice, BeamConfig(beam=beam))
+        return run_beam(1, lattice, beam_config("blocking", beam))
 
     result = simulate_once(benchmark, run)
     _check(result, lattice, beam, reference)
@@ -64,11 +51,11 @@ def test_fig_3_1_baseline(benchmark, beam_workload):
     benchmark.extra_info["cycles"] = result.cycles
 
 
-@pytest.mark.parametrize("mode", list(MODES))
+@pytest.mark.parametrize("mode", BEAM_MODES)
 @pytest.mark.parametrize("n_nodes", SWEEP)
 def test_fig_3_1_point(benchmark, beam_workload, mode, n_nodes):
     lattice, beam, reference = beam_workload
-    config = BeamConfig(beam=beam, **MODES[mode])
+    config = beam_config(mode, beam)
 
     def run():
         return run_beam(n_nodes, lattice, config)
@@ -78,7 +65,7 @@ def test_fig_3_1_point(benchmark, beam_workload, mode, n_nodes):
     _measured[(mode, n_nodes)] = result.cycles
     benchmark.extra_info["cycles"] = result.cycles
 
-    if len(_measured) == len(MODES) * len(SWEEP):
+    if len(_measured) == len(BEAM_MODES) * len(SWEEP):
         base = _base["cycles"]
         rows = []
         for n in SWEEP:
@@ -86,12 +73,12 @@ def test_fig_3_1_point(benchmark, beam_workload, mode, n_nodes):
                 [n]
                 + [
                     base / (n * _measured[(m, n)])
-                    for m in MODES
+                    for m in BEAM_MODES
                 ]
             )
         record_table(
             "Figure 3-1: beam-search efficiency by synchronization style",
-            ["nodes"] + list(MODES),
+            ["nodes"] + list(BEAM_MODES),
             rows,
             notes=(
                 "paper ordering at moderate scale: ctx16 best, delayed "

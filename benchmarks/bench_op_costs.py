@@ -12,6 +12,7 @@ import pytest
 
 from repro.core.params import PAPER_PARAMS, OpCode
 from repro.machine import PlusMachine
+from repro.workloads import delayed_op_latency, remote_read_latency
 
 from conftest import record_table, simulate_once
 
@@ -28,23 +29,8 @@ def _finish():
         )
 
 
-def _remote_read_cycles(hops):
-    machine = PlusMachine(n_nodes=4, width=4, height=1)
-    seg = machine.shm.alloc(1, home=hops)
-
-    def worker(ctx):
-        yield from ctx.read(seg.base)  # warm the translation
-        start = machine.engine.now
-        yield from ctx.read(seg.base)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, worker)
-    machine.run()
-    return thread.result
-
-
 def test_remote_read_adjacent(benchmark):
-    measured = simulate_once(benchmark, lambda: _remote_read_cycles(1))
+    measured = simulate_once(benchmark, lambda: remote_read_latency(1))
     expected = 32 + 24
     _rows.append(
         ["remote read, 1 hop", measured, "32 + round trip(24)", expected]
@@ -54,7 +40,7 @@ def test_remote_read_adjacent(benchmark):
 
 
 def test_remote_read_extra_hops(benchmark):
-    measured = simulate_once(benchmark, lambda: _remote_read_cycles(3))
+    measured = simulate_once(benchmark, lambda: remote_read_latency(3))
     expected = 32 + 24 + 2 * 2 * PAPER_PARAMS.net_hop_cycles
     _rows.append(
         [
@@ -68,24 +54,10 @@ def test_remote_read_extra_hops(benchmark):
     assert measured == expected
 
 
-def _delayed_op_cycles(local):
-    machine = PlusMachine(n_nodes=2)
-    seg = machine.shm.alloc(1, home=0 if local else 1)
-
-    def worker(ctx):
-        yield from ctx.delayed_read(seg.base)
-        start = machine.engine.now
-        token = yield from ctx.issue_fetch_add(seg.base, 1)
-        yield from ctx.result(token)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, worker)
-    machine.run()
-    return thread.result
-
-
 def test_delayed_op_local(benchmark):
-    measured = simulate_once(benchmark, lambda: _delayed_op_cycles(True))
+    measured = simulate_once(
+        benchmark, lambda: delayed_op_latency(OpCode.FETCH_ADD, 1, home=0)
+    )
     p = PAPER_PARAMS
     expected = (
         p.issue_delayed_cycles
@@ -106,7 +78,9 @@ def test_delayed_op_local(benchmark):
 
 
 def test_delayed_op_remote(benchmark):
-    measured = simulate_once(benchmark, lambda: _delayed_op_cycles(False))
+    measured = simulate_once(
+        benchmark, lambda: delayed_op_latency(OpCode.FETCH_ADD, 1, home=1)
+    )
     p = PAPER_PARAMS
     expected = (
         p.issue_delayed_cycles

@@ -8,7 +8,8 @@ shows up here long before it becomes an annoyance in the paper
 reproductions.
 
 Workloads (both deterministic, so cycles/messages double as a
-behavioural checksum):
+behavioural checksum; defined in :mod:`repro.workloads`, which
+``repro profile`` runs too):
 
 * **sssp** — 16 nodes, 800-vertex geometric graph (seed 7), 3 copies
   with replicated queues: the Table 2-1 midpoint configuration.
@@ -19,10 +20,10 @@ Run directly to produce ``BENCH_perf.json``::
 
     PYTHONPATH=src python benchmarks/bench_perf.py
     PYTHONPATH=src python benchmarks/bench_perf.py --smoke  # CI-sized
-    PYTHONPATH=src python benchmarks/bench_perf.py --jobs 2 --repeats 5
+    PYTHONPATH=src python benchmarks/bench_perf.py --repeats 5
 
-``--jobs N`` fans the workload matrix out across worker processes via
-:func:`repro.parallel.run_sweep`; timings stay per-workload medians over
+The workloads run one after the other in this process, so their wall
+times do not disturb each other; timings are per-workload medians over
 ``--repeats`` runs (with p95 recorded alongside).  The full run also
 benchmarks the sweep executor itself — a 200-seed ``check`` serial vs
 one worker per core (min 2) — and records the wall times, speedup,
@@ -54,20 +55,12 @@ import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, Optional
 
-from repro.apps.beam import BeamConfig, BeamSearchApp, params_for
-from repro.apps.graphs import dijkstra, geometric_graph, layered_lattice
-from repro.apps.sssp import SSSPApp, SSSPConfig
 from repro.machine import PlusMachine
-
-# Make this module importable as plain ``bench_perf`` from any cwd, so
-# SweepTask targets like "bench_perf:bench_point" resolve in worker
-# processes regardless of how the parent was launched.
-_BENCH_DIR = str(Path(__file__).resolve().parent)
-if _BENCH_DIR not in sys.path:
-    sys.path.insert(0, _BENCH_DIR)
+from repro.workloads import run_perf
 
 #: cycles/messages expected from the full-size workloads; a mismatch
 #: means a change altered simulated behaviour, not just speed.
@@ -88,34 +81,6 @@ def _smoke_baseline() -> Dict:
     except (OSError, ValueError):
         return {}
     return baseline.get("smoke_checksums", {})
-
-
-def _run_sssp(n_vertices: int) -> PlusMachine:
-    graph = geometric_graph(
-        n_vertices, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
-    )
-    reference = dijkstra(graph, 0)
-    machine = PlusMachine(n_nodes=16)
-    app = SSSPApp(
-        machine, graph, SSSPConfig(copies=3, replicate_queues=True)
-    )
-    app.spawn_workers()
-    machine.run()
-    if app.distances() != reference:
-        raise AssertionError("perf workload diverged from Dijkstra")
-    return machine
-
-
-def _run_beam(n_layers: int, width: int) -> PlusMachine:
-    lattice = layered_lattice(
-        n_layers=n_layers, width=width, branching=3, seed=5, hot_fraction=0.6
-    )
-    config = BeamConfig(beam=60, sync_mode="delayed")
-    machine = PlusMachine(n_nodes=16, params=params_for(config))
-    app = BeamSearchApp(machine, lattice, config)
-    app.spawn_workers()
-    machine.run()
-    return machine
 
 
 def _percentile(sorted_vals, frac: float) -> float:
@@ -153,17 +118,6 @@ def measure(build_and_run: Callable[[], PlusMachine], repeats: int = 3) -> Dict:
         "cycles": machine.engine.now,
         "messages": machine.fabric.stats.total_messages,
     }
-
-
-def bench_point(workload: str, smoke: bool = False, repeats: int = 3) -> Dict:
-    """SweepTask target: measure one named workload (picklable dict)."""
-    fns = {
-        ("sssp", False): lambda: _run_sssp(800),
-        ("sssp", True): lambda: _run_sssp(200),
-        ("beam", False): lambda: _run_beam(12, 128),
-        ("beam", True): lambda: _run_beam(6, 48),
-    }
-    return measure(fns[(workload, bool(smoke))], repeats=repeats)
 
 
 def benchmark_sweep(seeds: int = 200, jobs: Optional[int] = None) -> Dict:
@@ -244,12 +198,7 @@ def _scale_machine(n_nodes: int, requests: int, backing_pages: int):
     instead of being dominated by route length.  ``backing_pages`` cold
     mapped-but-untouched pages supply the million-page construction axis.
     """
-    from repro.apps.placement import (
-        PlacementApp,
-        PlacementConfig,
-        _install_policy,
-    )
-    from repro.core.params import PAPER_PARAMS
+    from repro.apps.placement import PlacementConfig, build_placement
 
     cfg = PlacementConfig(
         policy="static",
@@ -260,13 +209,7 @@ def _scale_machine(n_nodes: int, requests: int, backing_pages: int):
         backing_pages=backing_pages,
         seed=0,
     )
-    machine = PlusMachine(
-        n_nodes=n_nodes, params=PAPER_PARAMS.evolved(topology="torus")
-    )
-    _install_policy(machine, cfg)
-    app = PlacementApp(machine, cfg)
-    app.spawn_workers()
-    return machine, app
+    return build_placement(n_nodes, cfg, topology="torus")
 
 
 def benchmark_scale(smoke: bool = False) -> Dict:
@@ -328,7 +271,6 @@ def benchmark_scale(smoke: bool = False) -> Dict:
 def run_suite(
     smoke: bool = False,
     repeats: int = 3,
-    jobs: int = 1,
     sweep_bench: bool = True,
     scale_bench: bool = True,
 ) -> Dict:
@@ -337,26 +279,10 @@ def run_suite(
     names = ("sssp", "beam")
     results = {"smoke": smoke}
     baseline = _smoke_baseline() if smoke else {}
-    if jobs > 1:
-        from repro.parallel import SweepTask, run_sweep
-
-        tasks = [
-            SweepTask.make(
-                i,
-                "bench_perf:bench_point",
-                {"workload": name, "smoke": smoke, "repeats": repeats},
-                label=name,
-            )
-            for i, name in enumerate(names)
-        ]
-        outcomes = run_sweep(tasks, jobs=jobs, label="bench")
-        for tr in outcomes:
-            if not tr.ok:
-                raise AssertionError(f"benchmark failed: {tr.describe()}")
-            results[tr.label] = tr.value
-    else:
-        for name in names:
-            results[name] = bench_point(name, smoke=smoke, repeats=repeats)
+    for name in names:
+        results[name] = measure(
+            partial(run_perf, name, smoke=smoke), repeats=repeats
+        )
     for name in names:
         if not smoke and name in FULL_CHECKSUMS:
             expected = FULL_CHECKSUMS[name]
@@ -384,7 +310,7 @@ def run_suite(
         results["smoke_checksums"] = {}
         results["smoke_rates"] = {}
         for name in names:
-            r = bench_point(name, smoke=True, repeats=3)
+            r = measure(partial(run_perf, name, smoke=True), repeats=3)
             results["smoke_checksums"][name] = {
                 "cycles": r["cycles"],
                 "messages": r["messages"],
@@ -493,13 +419,6 @@ def main(argv=None) -> int:
         help="timing repeats per workload (median reported, p95 recorded)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for the workload matrix "
-        "(default 1 = in-process; 0 = one per core)",
-    )
-    parser.add_argument(
         "--no-sweep-bench",
         action="store_true",
         help="skip the serial-vs-parallel executor benchmark on full runs",
@@ -531,11 +450,9 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    jobs = args.jobs if args.jobs > 0 else (os.cpu_count() or 1)
     results = run_suite(
         smoke=args.smoke,
         repeats=args.repeats,
-        jobs=jobs,
         sweep_bench=not args.no_sweep_bench,
         scale_bench=not args.no_scale_bench,
     )
@@ -680,8 +597,8 @@ def test_perf_harness_smoke():
 
 
 def test_perf_workloads_are_deterministic():
-    a = _run_sssp(200)
-    b = _run_sssp(200)
+    a = run_perf("sssp", smoke=True)
+    b = run_perf("sssp", smoke=True)
     assert a.engine.now == b.engine.now
     assert a.fabric.stats.total_messages == b.fabric.stats.total_messages
 

@@ -17,7 +17,7 @@ update the copies), and shifts total traffic towards updates.
 
 import pytest
 
-from repro.apps.sssp import SSSPConfig, run_sssp
+from repro.workloads import sssp_point
 
 from conftest import record_table, simulate_once
 
@@ -36,21 +36,11 @@ _measured = {}
 
 
 @pytest.mark.parametrize("copies", COPIES)
-def test_table_2_1_row(benchmark, sssp_workload, copies):
-    graph, reference = sssp_workload
-
-    def run():
-        # The paper replicated "the queues and vertices" (Section 2.5),
-        # so this sweep replicates both kinds of page.
-        return run_sssp(
-            N_NODES,
-            graph,
-            SSSPConfig(copies=copies, replicate_queues=True),
-        )
-
-    result = simulate_once(benchmark, run)
-    assert result.distances == reference, "SSSP diverged from Dijkstra"
-    ratios = result.report.table_2_1_row()
+def test_table_2_1_row(benchmark, copies):
+    # sssp_point checks the distances against Dijkstra.
+    ratios = simulate_once(
+        benchmark, lambda: sssp_point(N_NODES, copies, steal=True)
+    )
     _measured[copies] = ratios
     benchmark.extra_info.update(ratios)
 

@@ -12,59 +12,30 @@ Table 3-1 numbers.
 
 import pytest
 
-from repro.core.params import PAPER_PARAMS, OpCode
-from repro.machine import PlusMachine
+from repro.workloads import (
+    TABLE_3_1_OPS,
+    delayed_op_latency,
+    table_3_1_fixed_cycles,
+)
 
 from conftest import record_table, simulate_once
 
+#: The paper's CM execution cycles, in TABLE_3_1_OPS order.
+PAPER_CYCLES = (39, 39, 39, 39, 52, 52, 52, 39)
+
 #: (operation, paper cycles, operand)
 CASES = [
-    (OpCode.XCHNG, 39, 5),
-    (OpCode.COND_XCHNG, 39, 5),
-    (OpCode.FETCH_ADD, 39, 1),
-    (OpCode.FETCH_SET, 39, 0),
-    (OpCode.QUEUE, 52, 1),
-    (OpCode.DEQUEUE, 52, 0),
-    (OpCode.MIN_XCHNG, 52, 3),
-    (OpCode.DELAYED_READ, 39, 0),
+    (op, paper, operand)
+    for (op, operand), paper in zip(TABLE_3_1_OPS, PAPER_CYCLES)
 ]
 
 _measured = {}
 
 
-def _measure(op, operand):
-    """End-to-end latency of one delayed op on an adjacent node."""
-    machine = PlusMachine(n_nodes=2)
-    if op in (OpCode.QUEUE, OpCode.DEQUEUE):
-        queue = machine.shm.alloc_queue(home=1)
-        va = queue.tail_va if op is OpCode.QUEUE else queue.head_va
-    else:
-        seg = machine.shm.alloc(1, home=1)
-        va = seg.base
-
-    def worker(ctx):
-        yield from ctx.delayed_read(va)  # warm the translation
-        start = machine.engine.now
-        token = yield from ctx.issue(op, va, operand)
-        yield from ctx.result(token)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, worker)
-    machine.run()
-    return thread.result
-
-
 @pytest.mark.parametrize("op,paper_cycles,operand", CASES)
 def test_table_3_1_op(benchmark, op, paper_cycles, operand):
-    total = simulate_once(benchmark, lambda: _measure(op, operand))
-    params = PAPER_PARAMS
-    fixed = (
-        params.issue_delayed_cycles
-        + params.read_result_cycles
-        + 2 * params.one_way_latency(1)
-        + params.cm_forward_cycles  # request formation at the issuer
-    )
-    cm_cycles = total - fixed
+    total = simulate_once(benchmark, lambda: delayed_op_latency(op, operand))
+    cm_cycles = total - table_3_1_fixed_cycles()
     _measured[op] = (total, cm_cycles, paper_cycles)
     benchmark.extra_info["end_to_end_cycles"] = total
     benchmark.extra_info["cm_execution_cycles"] = cm_cycles

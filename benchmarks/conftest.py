@@ -16,14 +16,8 @@ from typing import List
 
 import pytest
 
-from repro.apps.graphs import (
-    dijkstra,
-    geometric_graph,
-    initial_costs,
-    layered_lattice,
-    beam_search_reference,
-)
 from repro.stats.report import format_table
+from repro.workloads import beam_lattice, beam_reference, sssp_input
 
 #: (title, headers, rows, notes) tuples accumulated by benchmarks.
 _RESULTS: List[tuple] = []
@@ -63,34 +57,24 @@ def simulate_once(benchmark, fn):
 
 
 # ----------------------------------------------------------------------
-# Cached evaluation workloads (built once per session).
+# Cached evaluation workloads (built once per session; defined in
+# repro.workloads).
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="session")
 def sssp_workload():
     """The shortest-path input used by Table 2-1 and the efficiency
     figure: spatially local, large enough to occupy ~32 processors."""
-    graph = geometric_graph(
-        800, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
-    )
-    return graph, dijkstra(graph, 0)
+    return sssp_input(800)
 
 
 @pytest.fixture(scope="session")
 def sssp_workload_small():
-    graph = geometric_graph(
-        400, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
-    )
-    return graph, dijkstra(graph, 0)
+    return sssp_input(400)
 
 
 @pytest.fixture(scope="session")
 def beam_workload():
-    """The beam-search input of Figure 3-1: a wide lattice so per-layer
-    work dwarfs the phase barriers."""
-    lattice = layered_lattice(
-        n_layers=12, width=128, branching=3, seed=5, hot_fraction=0.6
-    )
-    beam = 60
-    initial = initial_costs(lattice, seed=1)
-    reference = beam_search_reference(lattice, beam=beam, initial=initial)
-    return lattice, beam, reference
+    """The beam-search input of Figure 3-1 with its sequential
+    reference: ``(lattice, beam, reference)``."""
+    lattice, beam = beam_lattice(), 60
+    return lattice, beam, beam_reference(lattice, beam)

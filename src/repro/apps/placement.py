@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from repro.core.params import PAPER_PARAMS, TimingParams
 from repro.errors import ConfigError
@@ -205,15 +205,31 @@ class PlacementApp:
         return sum(self._checksums) & 0xFFFFFFFF
 
 
-def _install_policy(machine: PlusMachine, cfg: PlacementConfig) -> None:
-    if cfg.policy == "static":
-        return
-    machine.competitive = CompetitiveReplicator(
-        machine,
-        threshold=cfg.threshold,
-        max_copies=cfg.max_copies,
-        migrate_unshared=(cfg.policy == "migrate"),
-    )
+def build_placement(
+    n_nodes: int,
+    config: Optional[PlacementConfig] = None,
+    topology: str = "mesh",
+    width: int = 0,
+    height: int = 0,
+    params: Optional[TimingParams] = None,
+) -> Tuple[PlusMachine, PlacementApp]:
+    """A machine with the policy installed and the workers spawned,
+    ready to ``run()``."""
+    cfg = config or PlacementConfig()
+    base = params or PAPER_PARAMS
+    if base.topology != topology:
+        base = base.evolved(topology=topology)
+    machine = PlusMachine(n_nodes=n_nodes, params=base, width=width, height=height)
+    if cfg.policy != "static":
+        machine.competitive = CompetitiveReplicator(
+            machine,
+            threshold=cfg.threshold,
+            max_copies=cfg.max_copies,
+            migrate_unshared=(cfg.policy == "migrate"),
+        )
+    app = PlacementApp(machine, cfg)
+    app.spawn_workers()
+    return machine, app
 
 
 def run_placement(
@@ -226,14 +242,9 @@ def run_placement(
     max_cycles: Optional[int] = None,
 ) -> PlacementResult:
     """Build a machine, run the celebrity-page program, return results."""
-    cfg = config or PlacementConfig()
-    base = params or PAPER_PARAMS
-    if base.topology != topology:
-        base = base.evolved(topology=topology)
-    machine = PlusMachine(n_nodes=n_nodes, params=base, width=width, height=height)
-    _install_policy(machine, cfg)
-    app = PlacementApp(machine, cfg)
-    app.spawn_workers()
+    machine, app = build_placement(
+        n_nodes, config, topology, width, height, params
+    )
     report = machine.run(max_cycles=max_cycles)
     competitive = machine.competitive
     return PlacementResult(

@@ -20,6 +20,9 @@ Usage::
 
 Each command builds the workload, runs the simulation(s), verifies the
 results against the sequential oracle, and prints the paper-style table.
+The workloads themselves (inputs, sync styles, grid points, sweep axes,
+perf sizes, the Table 3-1 measurement) are defined once, in
+:mod:`repro.workloads`; this module only parses options and prints.
 A sweep with one value per axis (the two single-point lines above) runs
 one verified machine and prints its cycles and utilization.
 Every sweep-shaped command takes ``--jobs N`` to fan its independent
@@ -34,13 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from typing import List
+from typing import List, Sequence
 
-from repro.core.params import PAPER_PARAMS, OpCode
-from repro.machine import PlusMachine
+from repro.core.params import PAPER_PARAMS
 from repro.stats.report import format_table
+from repro import workloads
 
 
 def _resolve_jobs(args) -> int:
@@ -54,22 +56,13 @@ def _resolve_jobs(args) -> int:
 
 
 def _cmd_table_2_1(args) -> int:
-    from repro.apps.graphs import dijkstra, geometric_graph
-    from repro.apps.sssp import SSSPConfig, run_sssp
-
-    graph = geometric_graph(
-        args.vertices, degree=5, long_edge_fraction=0.08, seed=7
-    )
-    reference = dijkstra(graph, 0)
     rows = []
     for copies in range(1, min(5, args.nodes) + 1):
-        result = run_sssp(
-            args.nodes,
-            graph,
-            SSSPConfig(copies=copies, replicate_queues=True),
+        # The paper replicated "the queues and vertices" (Section 2.5)
+        # and let idle processors steal.
+        r = workloads.sssp_point(
+            args.nodes, copies, args.vertices, steal=True
         )
-        assert result.distances == reference, "SSSP diverged"
-        r = result.report.table_2_1_row()
         rows.append(
             [
                 copies,
@@ -78,7 +71,7 @@ def _cmd_table_2_1(args) -> int:
                 r["total_over_update"],
             ]
         )
-        print(f"  copies={copies}: verified ({result.cycles:,} cycles)")
+        print(f"  copies={copies}: verified ({r['cycles']:,} cycles)")
     print()
     print(
         format_table(
@@ -97,7 +90,7 @@ def _cmd_fig_2_1(args) -> int:
     tasks = [
         SweepTask.make(
             n,
-            "repro.parallel.grid:fig21_point",
+            "repro.workloads:fig21_point",
             {"nodes": n, "vertices": args.vertices},
             label=f"{n} node(s)",
         )
@@ -137,48 +130,11 @@ def _cmd_fig_2_1(args) -> int:
 
 def _cmd_table_3_1(args) -> int:
     del args
-    cases = [
-        (OpCode.XCHNG, 5),
-        (OpCode.COND_XCHNG, 5),
-        (OpCode.FETCH_ADD, 1),
-        (OpCode.FETCH_SET, 0),
-        (OpCode.QUEUE, 1),
-        (OpCode.DEQUEUE, 0),
-        (OpCode.MIN_XCHNG, 3),
-        (OpCode.DELAYED_READ, 0),
-    ]
+    fixed = workloads.table_3_1_fixed_cycles()
     rows = []
-    for op, operand in cases:
-        machine = PlusMachine(n_nodes=2)
-        if op in (OpCode.QUEUE, OpCode.DEQUEUE):
-            queue = machine.shm.alloc_queue(home=1)
-            va = queue.tail_va if op is OpCode.QUEUE else queue.head_va
-        else:
-            va = machine.shm.alloc(1, home=1).base
-
-        def worker(ctx, va=va, op=op, operand=operand):
-            yield from ctx.delayed_read(va)
-            start = machine.engine.now
-            token = yield from ctx.issue(op, va, operand)
-            yield from ctx.result(token)
-            return machine.engine.now - start
-
-        thread = machine.spawn(0, worker)
-        machine.run()
-        fixed = (
-            PAPER_PARAMS.issue_delayed_cycles
-            + PAPER_PARAMS.read_result_cycles
-            + 2 * PAPER_PARAMS.one_way_latency(1)
-            + PAPER_PARAMS.cm_forward_cycles
-        )
-        rows.append(
-            [
-                op.value,
-                thread.result,
-                thread.result - fixed,
-                PAPER_PARAMS.op_cycles[op],
-            ]
-        )
+    for op, operand in workloads.TABLE_3_1_OPS:
+        total = workloads.delayed_op_latency(op, operand)
+        rows.append([op.value, total, total - fixed, PAPER_PARAMS.op_cycles[op]])
     print(
         format_table(
             ["operation", "end-to-end", "CM execution", "paper"],
@@ -191,28 +147,20 @@ def _cmd_table_3_1(args) -> int:
 
 def _cmd_fig_3_1(args) -> int:
     from repro.parallel import SweepTask, run_sweep
-    from repro.parallel.grid import BEAM_MODES
 
-    beam = 60
     # Task 0 is the single-node blocking baseline the efficiency column
     # divides by; the paper's five sync styles follow.
+    runs = [("base", "blocking", 1)]
+    runs += [(mode, mode, args.nodes) for mode in workloads.BEAM_MODES]
     tasks = [
         SweepTask.make(
-            0,
-            "repro.parallel.grid:beam_point",
-            {"mode": "blocking", "nodes": 1, "beam": beam},
-            label="base",
+            i,
+            "repro.workloads:beam_point",
+            {"mode": mode, "nodes": nodes, "beam": 60},
+            label=label,
         )
+        for i, (label, mode, nodes) in enumerate(runs)
     ]
-    tasks.extend(
-        SweepTask.make(
-            i + 1,
-            "repro.parallel.grid:beam_point",
-            {"mode": mode, "nodes": args.nodes, "beam": beam},
-            label=mode,
-        )
-        for i, mode in enumerate(BEAM_MODES)
-    )
     outcomes = run_sweep(
         tasks,
         jobs=_resolve_jobs(args),
@@ -248,19 +196,12 @@ def _cmd_fig_3_1(args) -> int:
 
 def _cmd_costs(args) -> int:
     del args
-    machine = PlusMachine(n_nodes=4, width=4, height=1)
-    seg = machine.shm.alloc(2, home=1)
-
-    def reader(ctx):
-        yield from ctx.read(seg.base)
-        start = machine.engine.now
-        yield from ctx.read(seg.base)
-        return machine.engine.now - start
-
-    thread = machine.spawn(0, reader)
-    machine.run()
     rows = [
-        ["remote read, adjacent", thread.result, "32 + 24 round trip"],
+        [
+            "remote read, adjacent",
+            workloads.remote_read_latency(1),
+            "32 + 24 round trip",
+        ],
         [
             "adjacent round trip",
             2 * PAPER_PARAMS.one_way_latency(1),
@@ -290,6 +231,37 @@ def _cmd_costs(args) -> int:
         )
     )
     return 0
+
+
+def _report_bad_seeds(args, results, bad_seeds, names: Sequence[str]) -> None:
+    """Write the failing seeds' transcripts to ``--transcript`` and print
+    the command that reruns them: the options among ``names`` that this
+    command line set away from their defaults, then ``--seed``."""
+    if not bad_seeds:
+        return
+    if args.transcript:
+        with open(args.transcript, "w", encoding="utf-8") as fh:
+            for r in results:
+                if r.seed in bad_seeds:
+                    fh.write(r.describe() + "\n")
+                    for cycle, node, kind, epoch in r.crash_events:
+                        fh.write(
+                            f"  [crash] cycle {cycle}: node {node} "
+                            f"{kind} (epoch {epoch})\n"
+                        )
+                    fh.write("\n")
+        print(f"failing-seed transcript written to {args.transcript}")
+    defaults = build_parser().parse_args([args.command])
+    flags = ""
+    for name in names:
+        value = getattr(args, name)
+        if value != getattr(defaults, name):
+            flag = "--" + name.replace("_", "-")
+            flags += f" {flag}" if value is True else f" {flag} {value}"
+    print(
+        f"reproduce with: python -m repro {args.command}{flags} --seed "
+        + " / --seed ".join(str(s) for s in bad_seeds[:5])
+    )
 
 
 def _fault_args(args):
@@ -409,29 +381,23 @@ def _cmd_check(args) -> int:
         for r in results
         if (not r.caught if args.inject_bug else not r.ok)
     ]
-    if args.transcript and bad_seeds:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            for r in results:
-                if r.seed in bad_seeds:
-                    fh.write(r.describe() + "\n")
-                    for cycle, node, kind, epoch in r.crash_events:
-                        fh.write(
-                            f"  [crash] cycle {cycle}: node {node} "
-                            f"{kind} (epoch {epoch})\n"
-                        )
-                    fh.write("\n")
-        print(f"failing-seed transcript written to {args.transcript}")
-    if failures:
-        if bad_seeds:
-            flags = " --faults" if args.faults else ""
-            if args.chaos:
-                flags += " --chaos"
-            print(
-                f"reproduce with: python -m repro check{flags} --seed "
-                + f" / --seed ".join(str(s) for s in bad_seeds[:5])
-            )
-        return 1
-    return 0
+    _report_bad_seeds(
+        args,
+        results,
+        bad_seeds,
+        [
+            "faults",
+            "chaos",
+            "inject_bug",
+            "drop_prob",
+            "dup_prob",
+            "fault_jitter",
+            "outage_rate",
+            "outage_cycles",
+            "crash_rate",
+        ],
+    )
+    return 1 if failures else 0
 
 
 def _cmd_ledger(args) -> int:
@@ -497,30 +463,15 @@ def _cmd_ledger(args) -> int:
     bad_seeds = [
         r.seed for r in results if not r.ok or r.recoveries < 1
     ]
-    if args.transcript and bad_seeds:
-        with open(args.transcript, "w", encoding="utf-8") as fh:
-            for r in results:
-                if r.seed in bad_seeds:
-                    fh.write(r.describe() + "\n")
-                    for cycle, node, kind, epoch in r.crash_events:
-                        fh.write(
-                            f"  [crash] cycle {cycle}: node {node} "
-                            f"{kind} (epoch {epoch})\n"
-                        )
-                    fh.write("\n")
-        print(f"failing-seed transcript written to {args.transcript}")
-    if failures and bad_seeds:
-        print(
-            "reproduce with: python -m repro ledger --seed "
-            + " / --seed ".join(str(s) for s in bad_seeds[:5])
-        )
+    _report_bad_seeds(args, results, bad_seeds, ["participants", "txns"])
     return 1 if failures else 0
 
 
 def _cmd_profile(args) -> int:
     """Profile one workload under cProfile and write ``PROFILE.json``.
 
-    The workloads are the perf-harness ones (``benchmarks/bench_perf.py``)
+    sssp, beam and placement are the perf workloads of
+    :mod:`repro.workloads`, the ones ``benchmarks/bench_perf.py`` times,
     so a profile maps directly onto the committed throughput numbers.
     Events/sec measured here includes profiler overhead — use it to rank
     hot functions, not to compare against ``BENCH_perf.json``.
@@ -530,47 +481,8 @@ def _cmd_profile(args) -> int:
     import json
     import pstats
     import time
+    from functools import partial
     from pathlib import Path
-
-    smoke = args.smoke
-
-    def run_sssp():
-        from repro.apps.graphs import dijkstra, geometric_graph
-        from repro.apps.sssp import SSSPApp, SSSPConfig
-
-        n = 200 if smoke else 800
-        graph = geometric_graph(
-            n, degree=5, long_edge_fraction=0.08, max_weight=20, seed=7
-        )
-        reference = dijkstra(graph, 0)
-        machine = PlusMachine(n_nodes=16)
-        app = SSSPApp(
-            machine, graph, SSSPConfig(copies=3, replicate_queues=True)
-        )
-        app.spawn_workers()
-        machine.run()
-        if app.distances() != reference:
-            raise AssertionError("profile workload diverged from Dijkstra")
-        return machine
-
-    def run_beam():
-        from repro.apps.beam import BeamConfig, BeamSearchApp, params_for
-        from repro.apps.graphs import layered_lattice
-
-        layers, width = (6, 48) if smoke else (12, 128)
-        lattice = layered_lattice(
-            n_layers=layers,
-            width=width,
-            branching=3,
-            seed=5,
-            hot_fraction=0.6,
-        )
-        config = BeamConfig(beam=60, sync_mode="delayed")
-        machine = PlusMachine(n_nodes=16, params=params_for(config))
-        app = BeamSearchApp(machine, lattice, config)
-        app.spawn_workers()
-        machine.run()
-        return machine
 
     def run_check():
         from repro.check import run_seeds
@@ -583,33 +495,10 @@ def _cmd_profile(args) -> int:
             )
         return None
 
-    def run_placement():
-        from repro.apps.placement import (
-            PlacementApp,
-            PlacementConfig,
-            _install_policy,
-        )
-        from repro.core.params import PAPER_PARAMS
-
-        nodes, requests = (16, 120) if smoke else (64, 400)
-        config = PlacementConfig(
-            policy="migrate", pages=128, requests=requests
-        )
-        machine = PlusMachine(
-            n_nodes=nodes, params=PAPER_PARAMS.evolved(topology="torus")
-        )
-        _install_policy(machine, config)
-        app = PlacementApp(machine, config)
-        app.spawn_workers()
-        machine.run()
-        return machine
-
-    runner = {
-        "sssp": run_sssp,
-        "beam": run_beam,
-        "check": run_check,
-        "placement": run_placement,
-    }[args.workload]
+    if args.workload == "check":
+        runner = run_check
+    else:
+        runner = partial(workloads.run_perf, args.workload, smoke=args.smoke)
 
     profiler = cProfile.Profile()
     t0 = time.perf_counter()
@@ -643,7 +532,7 @@ def _cmd_profile(args) -> int:
 
     artifact = {
         "workload": args.workload,
-        "smoke": bool(smoke),
+        "smoke": bool(args.smoke),
         "wall_s": round(wall, 4),
         "sort": "cumulative",
         "top": rows,
@@ -663,13 +552,9 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
 def _cmd_sweep(args) -> int:
     """Run a parameter grid across worker processes, print one table."""
-    from repro.parallel import SweepTask, expand_grid, run_sweep, shard_tasks
+    from repro.parallel import SweepTask, run_sweep, shard_tasks
 
     if args.placement:
         args.experiment = "placement"
@@ -678,63 +563,43 @@ def _cmd_sweep(args) -> int:
             "repro sweep: name an experiment (sssp, beam, placement) "
             "or pass --placement"
         )
-    if args.experiment == "sssp":
-        axes = {"nodes": _int_list(args.nodes), "copies": _int_list(args.copies)}
-        fn = "repro.parallel.grid:sssp_point"
-        extra = {"vertices": args.vertices}
-        columns = [
-            "nodes",
-            "copies",
-            "cycles",
-            "messages",
-            "utilization",
-            "total_over_update",
-        ]
-        title = f"SSSP sweep ({args.vertices} vertices)"
-    elif args.experiment == "placement":
-        axes = {
-            "policy": [p for p in args.policies.split(",") if p],
-            "topology": [t for t in args.topologies.split(",") if t],
-            "nodes": _int_list(args.nodes),
-        }
-        fn = "repro.parallel.grid:placement_point"
-        extra = {
-            "pages": args.pages,
-            "requests": args.requests,
-            "seed": args.seed,
-        }
-        columns = [
-            "policy",
-            "topology",
-            "nodes",
-            "cycles",
-            "messages",
-            "mean_hops",
-            "replications",
-            "migrations",
-        ]
-        title = (
-            f"Placement-policy sweep ({args.pages} hot pages, "
-            f"zipfian skew)"
-        )
-    else:  # beam
-        axes = {
-            "nodes": _int_list(args.nodes),
-            "mode": [m for m in args.modes.split(",") if m],
-        }
-        fn = "repro.parallel.grid:beam_point"
-        extra = {"beam": args.beam}
-        columns = ["nodes", "mode", "cycles", "utilization"]
-        title = f"Beam-search sweep (beam {args.beam})"
-
-    points = expand_grid(axes)
+    columns, title = {
+        "sssp": (
+            [
+                "nodes",
+                "copies",
+                "cycles",
+                "messages",
+                "utilization",
+                "total_over_update",
+            ],
+            f"SSSP sweep ({args.vertices} vertices)",
+        ),
+        "beam": (
+            ["nodes", "mode", "cycles", "utilization"],
+            f"Beam-search sweep (beam {args.beam})",
+        ),
+        "placement": (
+            [
+                "policy",
+                "topology",
+                "nodes",
+                "cycles",
+                "messages",
+                "mean_hops",
+                "replications",
+                "migrations",
+            ],
+            f"Placement-policy sweep ({args.pages} hot pages, zipfian skew)",
+        ),
+    }[args.experiment]
+    sweep = workloads.SWEEPS[args.experiment]
+    points = sweep.points(
+        vars(args),
+        lambda text, kind: [kind(part) for part in text.split(",") if part],
+    )
     tasks = [
-        SweepTask.make(
-            i,
-            fn,
-            {**point, **extra},
-            label=", ".join(f"{k}={v}" for k, v in point.items()),
-        )
+        SweepTask.make(i, sweep.target, point, label=sweep.label(point))
         for i, point in enumerate(points)
     ]
     tasks = shard_tasks(tasks, args.shard)
@@ -937,7 +802,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--modes",
                 type=str,
-                default="blocking,delayed,ctx16,ctx40,ctx140",
+                default=",".join(workloads.BEAM_MODES),
                 help="beam: comma-separated sync styles",
             )
             p.add_argument(

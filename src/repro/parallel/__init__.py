@@ -7,16 +7,16 @@ list out across worker processes and merges the results so the output
 is byte-identical to the serial run:
 
 * :mod:`repro.parallel.tasks` — the picklable :class:`SweepTask` /
-  :class:`TaskResult` model, shared execution semantics, and
-  ``--shard i/N`` slicing.
+  :class:`TaskResult` model, shared execution semantics, grid
+  expansion and ``--shard i/N`` slicing.
 * :mod:`repro.parallel.executor` — :func:`run_sweep`: warm worker
   pool, ordered aggregation, crash isolation, live progress line, and
   the pure in-process ``jobs=1`` fallback; :class:`WorkerPool`: the
   long-lived variant the ``repro serve`` daemon dispatches through;
   :func:`effective_jobs`: ``--jobs`` resolution against the visible
   CPU count.
-* :mod:`repro.parallel.grid` — module-level grid-point targets for
-  ``python -m repro sweep`` and the figure fan-outs.
+
+The grid-point targets the sweeps run live in :mod:`repro.workloads`.
 """
 
 from repro.parallel.executor import (
@@ -27,11 +27,11 @@ from repro.parallel.executor import (
     effective_jobs,
     run_sweep,
 )
-from repro.parallel.grid import expand_grid
 from repro.parallel.tasks import (
     SweepTask,
     TaskResult,
     execute,
+    expand_grid,
     parse_shard,
     shard_tasks,
 )

@@ -26,7 +26,8 @@ import importlib
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from itertools import product
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 
 @dataclass(frozen=True)
@@ -125,6 +126,19 @@ def execute(task: SweepTask) -> TaskResult:
             error_tb=traceback.format_exc(),
             wall_s=time.perf_counter() - t0,
         )
+
+
+def expand_grid(axes: Dict[str, Sequence[Any]]) -> List[Dict[str, Any]]:
+    """Cartesian product of ``axes`` in deterministic order.
+
+    Axis order is the dict's insertion order; the last axis varies
+    fastest, like nested for-loops written in the same order.  This is
+    the task order — and so the output row order — of every grid sweep,
+    for every job count.
+    """
+    names = list(axes)
+    combos = product(*(axes[name] for name in names))
+    return [dict(zip(names, values)) for values in combos]
 
 
 def parse_shard(spec: str) -> Tuple[int, int]:

@@ -165,37 +165,25 @@ class OpSpec:
 
 
 def _expand_sweep(params: Dict[str, Any]) -> list:
-    """Fan a canonical ``sweep`` request into one kwargs dict per grid
-    point — same axis order and point order as ``python -m repro
-    sweep``, so cached rows line up with CLI rows."""
-    from repro.parallel.grid import expand_grid
+    """Fan a canonical ``sweep`` request into one ``(fn, kwargs)`` pair
+    per grid point — the experiment table, axis order and point order
+    of ``python -m repro sweep`` (:data:`repro.workloads.SWEEPS`), so
+    cached rows line up with CLI rows."""
+    from repro.workloads import SWEEPS
 
-    def int_list(text: str) -> list:
+    def parse_list(text: str, kind: type) -> list:
         try:
-            return [int(v) for v in text.split(",") if v]
+            return [kind(v) for v in text.split(",") if v]
         except ValueError:
             raise ProtocolError(
                 "bad_params", f"expected comma-separated ints: {text!r}"
             )
 
-    if params["experiment"] == "sssp":
-        axes = {
-            "nodes": int_list(params["nodes"]),
-            "copies": int_list(params["copies"]),
-        }
-        extra = {"vertices": params["vertices"]}
-        fn = "repro.parallel.grid:sssp_point"
-    else:
-        axes = {
-            "nodes": int_list(params["nodes"]),
-            "mode": [m for m in params["modes"].split(",") if m],
-        }
-        extra = {"beam": params["beam"]}
-        fn = "repro.parallel.grid:beam_point"
-    points = expand_grid(axes)
+    sweep = SWEEPS[params["experiment"]]
+    points = sweep.points(params, parse_list)
     if not points:
         raise ProtocolError("bad_params", "sweep grid is empty")
-    return [(fn, {**point, **extra}) for point in points]
+    return [(sweep.target, point) for point in points]
 
 
 #: The op registry.  Tests may add ops via :func:`register_op`; the
@@ -212,7 +200,7 @@ def register_op(spec: OpSpec) -> OpSpec:
 register_op(
     OpSpec(
         name="simulate",
-        fn="repro.server.ops:simulate_point",
+        fn="repro.workloads:simulate_point",
         params=(
             Param("workload", str, choices=("sssp", "beam"), default="sssp"),
             Param("nodes", int, default=4),
@@ -227,7 +215,7 @@ register_op(
 register_op(
     OpSpec(
         name="check",
-        fn="repro.server.ops:check_point",
+        fn="repro.workloads:check_point",
         params=(
             # ``rng_seed`` is the documented alias: both spellings mean
             # the same run and must hash to the same cache key.
@@ -259,7 +247,7 @@ register_op(
 register_op(
     OpSpec(
         name="bench",
-        fn="repro.server.ops:bench_point",
+        fn="repro.workloads:bench_point",
         params=(
             Param("workload", str, choices=("sssp", "beam"), default="sssp"),
             Param("repeats", int, default=1),

@@ -9,6 +9,7 @@ directions, plus the LRU/counter mechanics of :class:`ResultCache`.
 
 import pytest
 
+from repro.parallel import SweepTask, execute
 from repro.server import (
     OpSpec,
     Param,
@@ -125,6 +126,33 @@ class TestCanonicalization:
             (4, 1),
             (4, 2),
         ]
+
+    def test_simulate_target_matches_one_point_sweep(self):
+        simulate = get_op("simulate")
+        params = simulate.canonicalize(
+            {"workload": "sssp", "nodes": 4, "copies": 1, "vertices": 200}
+        )
+        row = execute(SweepTask.make(0, simulate.fn, params))
+        sweep = get_op("sweep")
+        [(fn, kwargs)] = sweep.expand(
+            sweep.canonicalize(
+                {"experiment": "sssp", "nodes": "4", "copies": "1",
+                 "vertices": 200}
+            )
+        )
+        point = execute(SweepTask.make(0, fn, kwargs))
+        assert row.ok and point.ok
+        assert row.value == point.value
+        assert row.value["cycles"] > 0
+
+    def test_bench_target_times_the_workload(self):
+        bench = get_op("bench")
+        params = bench.canonicalize({"repeats": 2, "vertices": 60})
+        result = execute(SweepTask.make(0, bench.fn, params))
+        assert result.ok, result.error
+        assert result.value["workload"] == "sssp"
+        assert result.value["repeats"] == 2
+        assert 0 < result.value["wall_s_min"] <= result.value["wall_s_mean"]
 
     def test_sweep_rejects_bad_int_lists(self):
         spec = get_op("sweep")
